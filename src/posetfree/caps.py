@@ -22,9 +22,7 @@ class Caps:
     profile_perm_n: int = 10
     # largest n for the lattice-walk dynamic programs (exact chain profiles)
     profile_dp_n: int = 14
-    # largest n with a runtime guarantee for the census enumeration
-    census_exhaustive_n: int = 4
-    # largest n the pruned census search accepts at all
+    # largest n the pruned census search accepts
     census_dfs_n: int = 5
     # largest n for exact maximum-family-size search
     la_n: int = 6

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
-from math import comb, log2
+from itertools import accumulate
+from math import comb, factorial, log2
 
 import numpy as np
 
 from .caps import get_caps
 from .containers import two_phase
-from .embedding import contains_poset_through, is_p_free
+from .embedding import Nesting, PosetSearch, cube, is_p_free, poset_search
 from .errors import DomainError, TooLargeError
 from .lattice import SetFamily, layer_family
 from .poset import Poset, height
@@ -53,41 +53,52 @@ class CensusResult:
     normalized: float
 
 
-def _free_with(members: tuple[int, ...], poset: Poset, n: int, mask: int) -> bool:
-    """Whether a family known to avoid ``poset`` stays free after ``mask``.
+def _addable(search: PosetSearch, nest: Nesting, family: int, cands: int) -> int:
+    """The candidates each of which keeps the free ``family`` free alone."""
+    keep = 0
+    rest = cands
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if search.through(nest, family | low, low.bit_length() - 1) is None:
+            keep |= low
+    return keep
 
-    ``members`` must already include ``mask``; any new copy passes through it.
+
+def _children(search: PosetSearch, nest: Nesting, family: int, cands: int):
+    """Each child node: ``family`` plus one candidate, with the later
+    candidates that stay addable.  Freeness is hereditary, so a candidate
+    that fails at a node fails in its whole subtree and is never passed on."""
+    rest = cands
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        yield family | low, _addable(search, nest, family | low, rest)
+
+
+def _count(search: PosetSearch, nest: Nesting, family: int, cands: int) -> int:
+    """Number of free families ``family | S`` over subsets ``S`` of ``cands``.
+
+    ``family`` must be free and each candidate addable alone.  When all
+    candidates fit at once, each of their ``2^r`` subsets does.
     """
-    fam = SetFamily(n, members)
-    return contains_poset_through(fam, poset, mask) is None
-
-
-def _count_extensions(
-    n: int, poset: Poset, chosen: list[int], masks: range, idx: int
-) -> int:
-    """Number of poset-free families extending ``chosen`` with masks[idx:]."""
-    total = 1
-    for i in range(idx, len(masks)):
-        mask = masks[i]
-        chosen.append(mask)
-        if _free_with(tuple(chosen), poset, n, mask):
-            total += _count_extensions(n, poset, chosen, masks, i + 1)
-        chosen.pop()
-    return total
+    r = cands.bit_count()
+    if r <= 1 or search.first(nest, family | cands) is None:
+        return 1 << r
+    return 1 + sum(_count(search, nest, *node) for node in _children(search, nest, family, cands))
 
 
 def _count_task(args) -> int:
-    n, poset, prefix, idx = args
-    return _count_extensions(n, poset, list(prefix), range(1 << n), idx)
+    n, poset, family, cands = args
+    return _count(poset_search(poset), cube(n), family, cands)
 
 
 def count_p_free(n: int, poset: Poset, processes: int = 1) -> int:
     """Exact number of families over [n] containing no copy of ``poset``.
 
-    Depth-first over masks in ascending order; a branch is abandoned as soon
-    as the partial family contains the poset, which is sound because freeness
-    is preserved by taking subfamilies.  Runtime is only guaranteed up to the
-    exhaustive cap; larger n up to the search cap are accepted best-effort.
+    Depth-first over masks in ascending order, carrying the chosen family
+    and the masks still addable to it (see :func:`_count`).  The
+    ``census_dfs_n`` cap bounds n; no runtime is promised below it.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -98,55 +109,25 @@ def count_p_free(n: int, poset: Poset, processes: int = 1) -> int:
         )
     if processes < 1:
         raise DomainError("processes must be positive")
-    masks = range(1 << n)
-    if processes == 1 or len(masks) < 2:
-        return _count_extensions(n, poset, [], masks, 0)
-    # Split on the include/exclude decisions for the first few masks; each
-    # compatible prefix is counted independently and the counts added.
-    depth = min(max(1, processes - 1).bit_length(), len(masks))
-    tasks = []
-    for picks in product((False, True), repeat=depth):
-        prefix = []
-        viable = True
-        for mask, take in zip(masks, picks):
-            if not take:
-                continue
-            prefix.append(mask)
-            if not _free_with(tuple(prefix), poset, n, mask):
-                viable = False
-                break
-        if viable:
-            tasks.append((n, poset, tuple(prefix), depth))
+    search, nest = poset_search(poset), cube(n)
+    root = _addable(search, nest, 0, nest.full)
+    if processes == 1:
+        return _count(search, nest, 0, root)
+    # one task per child of the root: the free families with a given least member
+    tasks = [(n, poset, *node) for node in _children(search, nest, 0, root)]
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        return sum(pool.map(_count_task, tasks))
-
-
-def _chain_budget_bound(
-    k: int, remaining_costs: list[Fraction], spent: Fraction
-) -> int:
-    """Max number of remaining masks addable without the budget overflowing.
-
-    Every family with no k nested members satisfies
-    ``sum 1/C(n,|F|) <= k-1`` (each of the n! maximal chains of the cube
-    meets at most k-1 members), so packing the cheapest remaining masks
-    first bounds any completion's size.
-    """
-    left = Fraction(k - 1) - spent
-    extra = 0
-    for cost in remaining_costs:
-        if cost > left:
-            break
-        left -= cost
-        extra += 1
-    return extra
+        return 1 + sum(pool.map(_count_task, tasks))
 
 
 def la(n: int, poset: Poset) -> int:
     """Exact maximum size of a ``poset``-free family over [n].
 
     Branch and bound over masks ordered middle-out, including each mask
-    first so large families appear early.  Chain posets prune with the exact
-    chain-budget bound; other posets fall back to counting what is left.
+    first so large families appear early.  An m-element poset embeds in any
+    m-chain, so a free family has no m nested members: each of the n!
+    maximal chains meets at most m-1 of them, so their weights
+    ``n!/C(n,|F|)`` sum to at most ``(m-1) n!``.  Packing the cheapest
+    remaining masks into what is left of that budget bounds any completion.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -155,39 +136,31 @@ def la(n: int, poset: Poset) -> int:
         raise TooLargeError(
             f"maximum-size search over 2^[{n}] exceeds the cap of {caps.la_n}"
         )
+    search, nest = poset_search(poset), cube(n)
     masks = sorted(
         range(1 << n),
         key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m),
     )
-    total = len(masks)
-    is_chain = height(poset) == poset.m
-    k = poset.m
-    cost_of = [Fraction(1, comb(n, m.bit_count())) for m in masks]
-    # per start index, the costs of the remaining masks sorted cheap-first
-    suffix_costs = [sorted(cost_of[i:]) for i in range(total + 1)]
+    # nondecreasing along the middle-out order, so a suffix is cheapest first
+    weight = [factorial(m.bit_count()) * factorial(n - m.bit_count()) for m in masks]
+    spent = [0, *accumulate(weight)]
 
     best = 0
-    chosen: list[int] = []
 
-    def run(idx: int, spent: Fraction) -> None:
+    def run(idx: int, size: int, family: int, budget: int) -> None:
         nonlocal best
-        best = max(best, len(chosen))
-        if idx == total:
-            return
-        if is_chain:
-            room = _chain_budget_bound(k, suffix_costs[idx], spent)
-        else:
-            room = total - idx
-        if len(chosen) + room <= best:
+        best = max(best, size)
+        # past the last mask the room is 0, which ends the branch
+        room = bisect_right(spent, budget + spent[idx]) - 1 - idx
+        if size + room <= best:
             return
         mask = masks[idx]
-        chosen.append(mask)
-        if _free_with(tuple(sorted(chosen)), poset, n, mask):
-            run(idx + 1, spent + cost_of[idx])
-        chosen.pop()
-        run(idx + 1, spent)
+        child = family | 1 << mask
+        if search.through(nest, child, mask) is None:
+            run(idx + 1, size + 1, child, budget - weight[idx])
+        run(idx + 1, size, family, budget)
 
-    run(0, Fraction(0))
+    run(0, 0, 0, (poset.m - 1) * factorial(n))
     return best
 
 
@@ -228,13 +201,13 @@ def random_p_free_family(
     if not 0.0 <= density <= 1.0:
         raise DomainError("density must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
-    members: list[int] = []
+    search, nest = poset_search(poset), cube(n)
+    family = 0
     for mask in rng.permutation(1 << n):
         mask = int(mask)
-        trial = tuple(sorted(members + [mask]))
-        if _free_with(trial, poset, n, mask):
-            members.append(mask)
-    members.sort()
+        if search.through(nest, family | 1 << mask, mask) is None:
+            family |= 1 << mask
+    members = [mask for mask in range(1 << n) if family >> mask & 1]
     if density < 1.0:
         keep = rng.random(len(members)) < density
         members = [m for m, k in zip(members, keep) if k]

@@ -8,7 +8,8 @@ not be preserved: containment is weak, not induced.
 Three searches live here:
 
 * :func:`contains_poset` / :func:`is_p_free` — backtracking over P's
-  elements in a fixed order with nesting-consistency pruning.
+  elements in a fixed order with nesting-consistency pruning, planned once
+  per poset (:class:`PosetSearch`) and run on bitsets over a :class:`Nesting`.
 * :func:`first_copy` — the canonically least copy of a blowup: copies are
   keyed by their image tuple in element order and compared lexicographically
   by mask value; depth-first search in element order with ascending
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .blowup import BlowupPoset
 from .errors import InvalidMarkedChainError, PreconditionError
@@ -80,17 +82,30 @@ def check_embedding(poset: Poset, emb: Embedding) -> list[str]:
     return problems
 
 
-def _strict_nesting(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Per member index, bitsets of strictly larger / smaller members."""
-    q = len(members)
-    above = [0] * q
-    below = [0] * q
-    for i, mi in enumerate(members):
-        for j, mj in enumerate(members):
-            if mi != mj and mi & mj == mi:
-                above[i] |= 1 << j
-                below[j] |= 1 << i
-    return above, below
+class Nesting:
+    """Strict-nesting bitsets over a sorted universe of masks.
+
+    Bit ``i`` stands for ``masks[i]``, so ascending bits are ascending
+    masks.  A family inside the universe is one bitset, and its members
+    strictly above ``masks[i]`` are ``up[i] & family`` (dually ``down``):
+    adding or removing a member is one bit operation and rebuilds nothing.
+    """
+
+    def __init__(self, masks: tuple[int, ...]):
+        q = len(masks)
+        self.masks, self.full = masks, (1 << q) - 1
+        self.up, self.down = [0] * q, [0] * q
+        for i, mi in enumerate(masks):
+            for j in range(i + 1, q):  # a strict superset sorts later
+                if mi & masks[j] == mi:
+                    self.up[i] |= 1 << j
+                    self.down[j] |= 1 << i
+
+
+@lru_cache(maxsize=4)
+def cube(n: int) -> Nesting:
+    """The nesting of all of ``2^[n]`` (bit ``i`` is mask ``i``); shared, never mutate."""
+    return Nesting(tuple(range(1 << n)))
 
 
 def _search_order(poset: Poset) -> list[int]:
@@ -119,91 +134,96 @@ def _search_order(poset: Poset) -> list[int]:
     return order
 
 
-def _find_assignment(
-    family: SetFamily,
-    poset: Poset,
-    order: list[int],
-    preset: dict[int, int] | None = None,
-    floor: tuple[int, ...] | None = None,
-) -> tuple[int, ...] | None:
-    """Backtracking core shared by the general containment searches.
+class PosetSearch:
+    """The backtracking core for one poset, planned once and reused.
 
-    Places poset elements in ``order`` (excluding ``preset`` ones, which are
-    pinned to the given masks up front), trying member masks in ascending
-    order; returns the first complete assignment as a mask tuple.  When
-    ``floor`` is given (one mask per ``order`` position), assignments whose
-    tuple sorts below it are skipped — sound whenever the caller knows no
-    copy below the floor exists, and it lets repeated searches resume.
+    A search places the elements in a fixed order, trying members in
+    ascending order, and returns the first complete assignment as a mask
+    tuple.  The plan for each pinned element (or none) holds the remaining
+    order and, per element, its demand (a strict up-set of ``u`` elements
+    needs ``u`` strict supersets of the image, dually below) and its
+    constraints against the elements placed before it.
     """
-    members = family.members
-    q = len(members)
-    if q < poset.m:
-        return None
-    sup_sets, sub_sets = _strict_nesting(members)
-    index_of = {mask: i for i, mask in enumerate(members)}
 
-    # an element's strict up-set must land on distinct supersets of its
-    # image (and dually below), so a candidate with too few is hopeless
-    sup_counts = [s.bit_count() for s in sup_sets]
-    sub_counts = [s.bit_count() for s in sub_sets]
-    allowed = []
-    for e in range(poset.m):
-        need_up = poset.above[e].bit_count()
-        need_down = poset.below[e].bit_count()
-        bits = 0
-        for i in range(q):
-            if sup_counts[i] >= need_up and sub_counts[i] >= need_down:
-                bits |= 1 << i
-        allowed.append(bits)
+    def __init__(self, poset: Poset, order: list[int]):
+        self.m = poset.m
+        self._plans = [self._plan(poset, order, e) for e in range(-1, poset.m)]
 
-    assign = [-1] * poset.m
-    used = 0
-    for e, mask in (preset or {}).items():
-        i = index_of.get(mask)
-        if i is None:
+    @staticmethod
+    def _plan(poset: Poset, order: list[int], pinned: int):
+        placed = [pinned] if pinned >= 0 else []
+        steps = []
+        for e in order:
+            if e != pinned:
+                cons = tuple((f, poset.less(f, e)) for f in placed if poset.comparable(e, f))
+                steps.append((e, poset.above[e].bit_count(), poset.below[e].bit_count(), cons))
+                placed.append(e)
+        return pinned, steps
+
+    def _run(self, nest: Nesting, family: int, plan, at: int = -1, floor=None):
+        pinned, steps = plan
+        if family.bit_count() < self.m:
             return None
-        assign[e] = i
-        used |= 1 << i
-    order = [e for e in order if assign[e] < 0]
+        up, down, masks = nest.up, nest.down, nest.masks
+        assign = [-1] * self.m
+        used = 0
+        if pinned >= 0:
+            assign[pinned], used = at, 1 << at
+        last = len(steps)
 
-    # per position, the constraints against elements placed before it
-    constraints: list[list[tuple[int, bool]]] = []
-    placed = [e for e, i in enumerate(assign) if i >= 0]
-    for d, e in enumerate(order):
-        cons = []
-        for f in placed:
-            if poset.less(f, e):
-                cons.append((f, True))
-            elif poset.less(e, f):
-                cons.append((f, False))
-        constraints.append(cons)
-        placed.append(e)
-
-    full = (1 << q) - 1
-
-    def extend(d: int, used: int, tight: bool) -> bool:
-        if d == len(order):
-            return True
-        e = order[d]
-        cand = allowed[e] & ~used
-        for f, f_below in constraints[d]:
-            cand &= sup_sets[assign[f]] if f_below else sub_sets[assign[f]]
-        if tight:
-            start = bisect_left(members, floor[d])
-            cand &= full & ~((1 << start) - 1)
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            assign[e] = i
-            if extend(d + 1, used | low, tight and members[i] == floor[d]):
+        def extend(d: int, used: int, tight: bool) -> bool:
+            if d == last:
                 return True
-        assign[e] = -1
-        return False
+            e, need_up, need_down, cons = steps[d]
+            cand = family & ~used
+            for f, f_below in cons:
+                cand &= up[assign[f]] if f_below else down[assign[f]]
+            if tight:
+                cand &= ~((1 << bisect_left(masks, floor[d])) - 1)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
+                if need_up and (up[i] & family).bit_count() < need_up:
+                    continue
+                if need_down and (down[i] & family).bit_count() < need_down:
+                    continue
+                assign[e] = i
+                if extend(d + 1, used | low, tight and masks[i] == floor[d]):
+                    return True
+            assign[e] = -1
+            return False
 
-    if not extend(0, used, floor is not None):
+        if not extend(0, used, floor is not None):
+            return None
+        return tuple(masks[i] for i in assign)
+
+    def first(self, nest: Nesting, family: int, floor=None) -> tuple[int, ...] | None:
+        """The first copy in ``family`` (a bitset over ``nest``), or None.
+
+        ``floor`` (one mask per order position) skips assignments whose
+        tuple sorts below it — sound whenever the caller knows no copy below
+        the floor exists, and it lets repeated searches resume.
+        """
+        return self._run(nest, family, self._plans[0], floor=floor)
+
+    def through(self, nest: Nesting, family: int, at: int) -> tuple[int, ...] | None:
+        """The first copy with some image on index ``at``, which must be in
+        ``family``, trying the pinned element in ascending order.  None
+        means that a family free before ``at`` joined stays free."""
+        for plan in self._plans[1:]:
+            assign = self._run(nest, family, plan, at)
+            if assign is not None:
+                return assign
         return None
-    return tuple(members[i] for i in assign)
+
+
+@lru_cache(maxsize=64)
+def poset_search(poset: Poset, element_order: bool = False) -> PosetSearch:
+    """The search for ``poset`` in reverse min-degree strip order, or in
+    element order (the canonical copy order)."""
+    order = list(range(poset.m)) if element_order else _search_order(poset)
+    return PosetSearch(poset, order)
 
 
 def contains_poset(family: SetFamily, poset: Poset) -> Embedding | None:
@@ -212,7 +232,8 @@ def contains_poset(family: SetFamily, poset: Poset) -> Embedding | None:
     The witness is the one found first by backtracking over elements in
     reverse min-degree strip order with candidate masks ascending.
     """
-    result = _find_assignment(family, poset, _search_order(poset))
+    nest = Nesting(family.members)
+    result = poset_search(poset).first(nest, nest.full)
     return None if result is None else Embedding(family, result)
 
 
@@ -224,12 +245,11 @@ def contains_poset_through(
     Incremental-search helper: when a family is known to avoid the poset
     and one member is added, any new copy must pass through it.
     """
-    order = _search_order(poset)
-    for e in range(poset.m):
-        result = _find_assignment(family, poset, order, preset={e: mask})
-        if result is not None:
-            return Embedding(family, result)
-    return None
+    if mask not in family:
+        return None
+    nest = Nesting(family.members)
+    result = poset_search(poset).through(nest, nest.full, bisect_left(nest.masks, mask))
+    return None if result is None else Embedding(family, result)
 
 
 def is_p_free(family: SetFamily, poset: Poset) -> bool:
@@ -284,7 +304,8 @@ def _least_blowup_assignment(
     m = base.m
     if q < m:
         return None
-    sup_sets, sub_sets = _strict_nesting(members)
+    nest = Nesting(members)
+    sup_sets, sub_sets = nest.up, nest.down
 
     # demand prune: an element's strict up-set needs that many distinct
     # supersets of its image (dually below)
@@ -391,7 +412,8 @@ def first_copy(
     if isinstance(blow, BlowupPoset):
         result = _least_blowup_assignment(family, blow, floor)
     else:
-        result = _find_assignment(family, base, list(range(base.m)), floor=floor)
+        nest = Nesting(family.members)
+        result = poset_search(base, element_order=True).first(nest, nest.full, floor)
     return None if result is None else Embedding(family, result)
 
 

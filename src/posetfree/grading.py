@@ -272,7 +272,9 @@ def verify_chain_cover(poset: Poset, cover: GradedChainCover) -> list[str]:
                         f"difference set of chain {idx} contains no minimal or maximal element"
                     )
                 rest = [e for e in chain if e not in dset]
-                if rest and not any(set(rest) <= set(c) for c in seen_chains):
+                if not rest:
+                    problems.append(f"difference set of chain {idx} is the whole chain")
+                elif not any(set(rest) <= set(c) for c in seen_chains):
                     problems.append(f"chain {idx} minus its interval is in no earlier chain")
         union.update(chain)
         sub, _old = restrict(poset, union)

@@ -114,7 +114,12 @@ def family_to_dict(family: SetFamily) -> dict:
 
 
 def family_from_dict(data: dict) -> SetFamily:
-    return SetFamily.from_masks(int(data["n"]), [int(m) for m in data["members"]])
+    """Parse the wire format of :func:`family_to_dict`, without coercion."""
+    if not (isinstance(data, dict) and type(data.get("n")) is int
+            and type(data.get("members")) is list
+            and all(type(m) is int for m in data["members"])):
+        raise ValueError('family JSON must be {"n": int, "members": [int, ...]}')
+    return SetFamily.from_masks(data["n"], data["members"])
 
 
 @dataclass(frozen=True)

@@ -98,19 +98,20 @@ class LeafOrdering:
 def validate_poset(m: int, covers: Iterable[tuple[int, int]]) -> Poset:
     """Validate a cover relation and construct the poset it presents.
 
-    Raises ``ValueError`` for malformed input (bad m, out-of-range indices,
-    duplicate pairs), ``CycleError`` when the covers contain a directed
-    cycle, and ``NotReducedError`` when some cover pair is transitively
-    implied by the others.
+    Raises ``ValueError`` for malformed input (m or a cover entry not an
+    ``int``, a ``bool`` included; out-of-range indices; duplicate pairs),
+    ``CycleError`` when the covers contain a directed cycle, and
+    ``NotReducedError`` when some cover pair is transitively implied by the
+    others.
     """
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"element count must be a positive integer, got {m!r}")
     pairs = []
     seen = set()
     for pair in covers:
-        a, b = pair
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not isinstance(pair, (tuple, list)) or [type(x) for x in pair] != [int, int]:
             raise ValueError(f"cover pair {pair!r} is not a pair of integers")
+        a, b = pair
         if not (0 <= a < m and 0 <= b < m):
             raise ValueError(f"cover pair {pair!r} out of range for m={m}")
         if a == b:
@@ -399,7 +400,6 @@ def poset_to_dict(poset: Poset) -> dict:
 
 def poset_from_dict(data: dict) -> Poset:
     """Parse and validate the wire format produced by :func:`poset_to_dict`."""
-    if not isinstance(data, dict) or "m" not in data or "covers" not in data:
-        raise ValueError('poset JSON must be an object with "m" and "covers"')
-    covers = [tuple(pair) for pair in data["covers"]]
-    return validate_poset(data["m"], covers)
+    if not isinstance(data, dict) or "m" not in data or type(data.get("covers")) is not list:
+        raise ValueError('poset JSON must be an object with "m" and a list "covers"')
+    return validate_poset(data["m"], data["covers"])

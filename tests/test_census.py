@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from math import comb, log2
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from posetfree.caps import ENV_VAR
@@ -22,7 +25,7 @@ from posetfree.census import (
 )
 from posetfree.embedding import is_p_free
 from posetfree.errors import DomainError, TooLargeError
-from posetfree.fixtures import fixture, fixture_names
+from posetfree.fixtures import fixture, fixture_names, random_tree_poset
 from posetfree.lattice import SetFamily, layer_family
 from posetfree.poset import height
 
@@ -76,6 +79,50 @@ class TestCountPFree:
         monkeypatch.setenv(ENV_VAR, '{"census_dfs_n": 2}')
         with pytest.raises(TooLargeError):
             count_p_free(3, fixture("chain2"))
+
+
+class TestKnownCounts:
+    def test_two_chain_free_families_over_five_is_dedekind_m5(self):
+        # [DERIVED] antichains of 2^[5]: the Dedekind number M(5) = 7581
+        # (OEIS A000372; Kleitman 1969)
+        assert count_p_free(5, fixture("chain2")) == 7581
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [("chain4", 23760), ("chain5", 52757), ("x", 37944), ("butterfly", 9868)],
+    )
+    def test_counts_over_four(self, name, want):
+        # exact counts the probe-per-node search returned for these fixtures
+        assert count_p_free(4, fixture(name)) == want
+
+    def test_process_split_matches_on_a_taller_poset(self):
+        assert count_p_free(4, fixture("x"), processes=2) == 37944
+
+
+class TestAgainstOracles:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_count_matches_all_families_oracle(self, m, seed, n):
+        poset = random_tree_poset(m, seed)
+        assert count_p_free(n, poset) == oracles.count_p_free_families(
+            n, poset.m, poset.sorted_covers()
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_la_matches_brute_force_oracle(self, m, seed, n):
+        poset = random_tree_poset(m, seed)
+        assert la(n, poset) == oracles.largest_p_free_family(
+            n, poset.m, poset.sorted_covers()
+        )
 
 
 class TestLa:
@@ -179,6 +226,21 @@ class TestRandomPFreeFamily:
         assert is_p_free(thin, fixture("chain2"))
         empty = random_p_free_family(fixture("chain2"), 4, seed=5, density=0.0)
         assert empty.members == ()
+
+    def test_seeded_members_are_pinned(self):
+        # digest of the members the probe-per-call greedy returned for these
+        # seeds; any engine behind it must keep exactly the same masks
+        digest = hashlib.sha256()
+        for name in ["chain2", "chain3", "v", "x", "butterfly", "path4"]:
+            for n in (3, 4, 5, 6):
+                for seed in range(3):
+                    fam = random_p_free_family(fixture(name), n, seed=seed)
+                    digest.update(f"{name} {n} {seed} {fam.members}\n".encode())
+                fam = random_p_free_family(fixture(name), n, seed=7, density=0.5)
+                digest.update(f"{name} {n} d {fam.members}\n".encode())
+        assert digest.hexdigest() == (
+            "598f664519b3771a4a5233e3a8da1a1e922f8c0bafa705cc82e714aa0b796041"
+        )
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -369,6 +369,22 @@ class TestOutputAndExitCodes:
         code, out, err = run(capsys, ["poset", "validate", str(bad)])
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 3, "members": [2.7]}', '{"n": 3, "members": ["5"]}', '{"n": 3}'],
+    )
+    def test_malformed_family_json_is_domain_error(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, ["family", "profile", str(bad)])
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_bool_cover_entry_is_domain_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"m": 2, "covers": [[true, 0]]}')
+        code, out, err = run(capsys, ["poset", "validate", str(bad)])
+        assert code == 1 and out == "" and err.startswith("error:")
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["poset", "validate", "x.json", "--nope"])
         assert code == 2

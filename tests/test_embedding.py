@@ -1,6 +1,9 @@
 """Containment search, canonical first copies, marked-chain embeddings."""
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from posetfree.embedding import (
     is_p_free,
 )
 from posetfree.errors import InvalidMarkedChainError, PreconditionError
-from posetfree.fixtures import fixture, random_graded_tree_poset
+from posetfree.fixtures import fixture, fixture_names, random_graded_tree_poset
 from posetfree.grading import graded_chain_cover
 from posetfree.lattice import (
     MarkedChain,
@@ -129,6 +132,31 @@ class TestContainsPosetThrough:
         fam = SetFamily.from_masks(3, [0, 1, 3, 4])
         assert contains_poset(fam, fixture("chain3")) is not None
         assert contains_poset_through(fam, fixture("chain3"), 4) is None
+
+
+class TestWitnessesPinned:
+    def test_witnesses_match_pinned_digest(self):
+        # digest of the witnesses the per-call searches returned before the
+        # search core was planned once per poset: the first copy, the least
+        # copy (also resumed from its own floor), and the first copy through
+        # every member, over seeded half-cube families of every fixture
+        digest = hashlib.sha256()
+        for name in sorted(fixture_names()):
+            poset = fixture(name)
+            for n in (3, 4, 5):
+                for seed in range(4):
+                    rng = random.Random(f"{name} {n} {seed}")
+                    fam = SetFamily.from_masks(n, rng.sample(range(1 << n), (1 << n) // 2))
+                    rows = [contains_poset(fam, poset), first_copy(fam, poset)]
+                    rows += [contains_poset_through(fam, poset, m) for m in fam.members]
+                    if rows[1] is not None:
+                        rows.append(first_copy(fam, poset, floor=rows[1].assignment))
+                    digest.update(
+                        repr([None if r is None else r.assignment for r in rows]).encode()
+                    )
+        assert digest.hexdigest() == (
+            "34ac339e06a47ff9e221905c1d6ea3a0f3f8ae3f6ffb37a07cb8db5b8f7fbffe"
+        )
 
 
 class TestIsPFree:

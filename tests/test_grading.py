@@ -220,8 +220,17 @@ class TestGradedChainCover:
 
 class TestVerifyChainCover:
     def test_accepts_alternative_two_chain_cover(self):
-        cover = GradedChainCover(((2, 3), (1, 0)), ((1, 0),))
+        # path4 (1 < 0 > 2 < 3) needs #min + #max - 1 = 3 chains of two
+        # elements; this order differs from graded_chain_cover's
+        cover = GradedChainCover(((1, 0), (2, 0), (2, 3)), ((2,), (3,)))
+        assert cover != graded_chain_cover(fixture("path4"))
         assert verify_chain_cover(fixture("path4"), cover) == []
+        # two disjoint chains cover it too, but the second shares nothing
+        # with the first, so no earlier chain pins it
+        disjoint = GradedChainCover(((2, 3), (1, 0)), ((1, 0),))
+        assert verify_chain_cover(fixture("path4"), disjoint) == [
+            "difference set of chain 2 is the whole chain"
+        ]
 
     def test_flags_incomplete_cover(self):
         cover = GradedChainCover(((0, 1),), ())
@@ -248,6 +257,16 @@ class TestVerifyChainCover:
         )
         problems = verify_chain_cover(DOUBLE_BRANCH, cover)
         assert any("not graded" in p for p in problems)
+
+    def test_flags_later_chain_disjoint_from_earlier_chains(self):
+        # the N poset 0 < 2 > 1 < 3: the chain (1, 3) shares nothing with
+        # (0, 2), so its difference set is the whole chain and no earlier
+        # chain pins it; a valid cover needs 3 chains (#min + #max - 1)
+        n_poset = validate_poset(4, [(0, 2), (1, 2), (1, 3)])
+        cover = GradedChainCover(((0, 2), (1, 3)), ((1, 3),))
+        problems = verify_chain_cover(n_poset, cover)
+        assert "difference set of chain 2 is the whole chain" in problems
+        assert verify_chain_cover(n_poset, graded_chain_cover(n_poset)) == []
 
     def test_flags_length_mismatch(self):
         cover = GradedChainCover(((0, 2), (0, 1)), ())

@@ -98,6 +98,22 @@ class TestSetFamily:
         fam = random_family(4, 7)
         assert family_from_dict(family_to_dict(fam)) == fam
 
+    def test_dict_rejects_non_integers_and_missing_keys(self):
+        for data in (
+            {"n": 3, "members": [2.7]},
+            {"n": 3, "members": ["5"]},
+            {"n": 3, "members": [True]},
+            {"n": 3.0, "members": [1]},
+            {"n": True, "members": [1]},
+            {"n": 3},
+            {"members": [1]},
+            {"n": 3, "members": 5},
+            [3, [1]],
+        ):
+            with pytest.raises(ValueError):
+                family_from_dict(data)
+        assert family_from_dict({"n": 3, "members": [5, 2]}).members == (2, 5)
+
 
 class TestEntropyBound:
     def test_half_alpha(self):

@@ -52,6 +52,29 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_poset(2, [(0, 1), (0, 1)])
 
+    def test_rejects_non_integers_and_bools(self):
+        for m in (True, 2.0, "2"):
+            with pytest.raises(ValueError):
+                validate_poset(m, [])
+        for pair in ((True, 0), (0, True), (0.0, 1), ("0", 1)):
+            with pytest.raises(ValueError):
+                validate_poset(2, [pair])
+        with pytest.raises(ValueError):
+            validate_poset(2, [(0, 1, 1)])
+
+    def test_dict_rejects_malformed_entries(self):
+        for data in (
+            {"m": True, "covers": []},
+            {"m": 2, "covers": [[True, 0]]},
+            {"m": 2, "covers": [[0]]},
+            {"m": 2, "covers": [0, 1]},
+            {"m": 2, "covers": {"0": 1}},
+            {"m": 2},
+            [2, []],
+        ):
+            with pytest.raises(ValueError):
+                poset_from_dict(data)
+
     def test_single_element(self):
         p = validate_poset(1, [])
         assert height(p) == 1 and is_tree_poset(p) and is_graded(p)
