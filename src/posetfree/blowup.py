@@ -12,8 +12,7 @@ Conventions
 -----------
 * Blowup elements are labelled ``(i, r)``: copy r (1-based) of the element
   at position i (1-based) of the leaf ordering.  Element ids are assigned
-  in lexicographic ``(i, r)`` order, so ``lex_order`` is simply
-  ``0..size-1`` and the id encodes the label's rank.
+  in lexicographic ``(i, r)`` order, so an element's id is its label's rank.
 * The blowup of a graded tree poset of height k is again a graded tree
   poset of height k, and collapsing copies (first label coordinate) maps
   its maximal chains onto maximal chains of P.
@@ -22,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .caps import get_caps
 from .errors import DomainError, NotTreeError, SizeError
@@ -44,7 +44,6 @@ class BlowupPoset:
     t: int
     labels: tuple[tuple[int, int], ...]
     groups: dict[tuple[int, int], tuple[int, ...]] = field(compare=False)
-    lex_order: tuple[int, ...] = field(compare=False, repr=False)
     offsets: tuple[int, ...] = field(compare=False, repr=False)
     copies: tuple[int, ...] = field(compare=False, repr=False)
     parent_position: tuple[int, ...] = field(compare=False, repr=False)
@@ -113,8 +112,16 @@ def blowup(poset: Poset, x: int, t: int, ord: LeafOrdering | None = None) -> Blo
 
     ``ord`` defaults to the deterministic :func:`leaf_ordering`; a caller-
     supplied ordering is validated.  Raises ``SizeError`` when the result
-    would exceed the configured element cap.
+    would exceed the configured element cap.  Each blowup is built once and
+    shared between calls with equal arguments; never mutate it.
     """
+    return _blowup(poset, x, t, ord, get_caps().blowup_elements)
+
+
+@lru_cache(maxsize=32)
+def _blowup(
+    poset: Poset, x: int, t: int, ord: LeafOrdering | None, cap: int
+) -> BlowupPoset:
     if not is_tree_poset(poset):
         raise NotTreeError("blowups require a tree poset")
     if t < 1:
@@ -128,7 +135,6 @@ def blowup(poset: Poset, x: int, t: int, ord: LeafOrdering | None = None) -> Blo
     dist = _distances_from(poset, x)
     copies = [t ** dist[e] for e in ord.order]
     total = sum(copies)
-    cap = get_caps().blowup_elements
     if total > cap:
         raise SizeError(f"blowup would have {total} elements, cap is {cap}")
 
@@ -176,7 +182,6 @@ def blowup(poset: Poset, x: int, t: int, ord: LeafOrdering | None = None) -> Blo
         t=t,
         labels=tuple(labels),
         groups=groups,
-        lex_order=tuple(range(total)),
         offsets=tuple(offsets),
         copies=tuple(copies),
         parent_position=tuple(parent_position),

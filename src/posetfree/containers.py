@@ -329,18 +329,27 @@ def container_pair_to_dict(pair: ContainerPair) -> dict:
     }
 
 
+def _entry(data, key: str, kind: type, default=None):
+    """``data[key]``, which must have exactly type ``kind``, else ValueError."""
+    value = data.get(key, default) if isinstance(data, dict) else None
+    if type(value) is not kind:
+        raise ValueError(f"container pair JSON needs {kind.__name__} {key!r}")
+    return value
+
+
 def container_pair_from_dict(data: dict) -> ContainerPair:
-    params = data["params"]
-    stats = data.get("stats", {})
+    """Parse the wire format of :func:`container_pair_to_dict`, without coercion."""
+    params = _entry(data, "params", dict)
+    stats = _entry(data, "stats", dict, {})
     return ContainerPair(
-        certificate=family_from_dict(data["certificate"]),
-        residual=family_from_dict(data["residual"]),
+        certificate=family_from_dict(_entry(data, "certificate", dict)),
+        residual=family_from_dict(_entry(data, "residual", dict)),
         params=ContainerParams(
-            poset=poset_from_dict(params["poset"]),
-            root=params["root"],
-            t=params["t"],
-            source=family_from_dict(params["source"]),
+            poset=poset_from_dict(_entry(params, "poset", dict)),
+            root=_entry(params, "root", int),
+            t=_entry(params, "t", int),
+            source=family_from_dict(_entry(params, "source", dict)),
         ),
-        prune_count=stats.get("prune_count", 0),
-        carve_count=stats.get("carve_count", 0),
+        prune_count=_entry(stats, "prune_count", int, 0),
+        carve_count=_entry(stats, "carve_count", int, 0),
     )

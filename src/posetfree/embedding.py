@@ -24,12 +24,13 @@ Three searches live here:
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .blowup import BlowupPoset
-from .errors import InvalidMarkedChainError, PreconditionError
+from .errors import InvalidMarkedChainError, PreconditionError, SizeError
 from .grading import GradedChainCover, verify_chain_cover
 from .lattice import MarkedChain, SetFamily
 from .poset import Poset, hasse_graph, restrict
@@ -257,16 +258,30 @@ def is_p_free(family: SetFamily, poset: Poset) -> bool:
     return contains_poset(family, poset) is None
 
 
-def _copy_tree_order(blow: BlowupPoset) -> list[int]:
-    """Blowup elements in depth-first order of the copy tree.
+@lru_cache(maxsize=32)
+def _blowup_tables(blow: BlowupPoset):
+    """The family-independent tables of :func:`_least_blowup_assignment`.
 
-    Each copy is followed immediately by the fans hanging off it, so a
-    backtracking search in this order discovers a starved fan right after
-    placing its anchor instead of after enumerating unrelated fans.
+    Per element: its copy-tree parent (or -1) and whether it sits above
+    that parent, the fan predecessor whose mask it must exceed (or -1), and
+    its demand ``(need_up, need_down)``.  Last, the elements in depth-first
+    order of the copy tree: each copy is followed immediately by the fans
+    hanging off it, so a backtracking search in this order discovers a
+    starved fan right after placing its anchor instead of after enumerating
+    unrelated fans.
     """
-    positions = len(blow.offsets)
-    pos_children: list[list[int]] = [[] for _ in range(positions + 1)]
-    for j in range(2, positions + 1):
+    base, t, m = blow.base, blow.t, blow.size
+    parent, parent_up, sibling = [-1] * m, [True] * m, [-1] * m
+    for e, (i, r) in enumerate(blow.labels):
+        if i > 1:
+            parent[e] = blow.id_of(blow.parent_position[i - 1], (r - 1) // t + 1)
+            parent_up[e] = blow.points_up[i - 1]
+        if (r - 1) % t:
+            sibling[e] = e - 1
+    need = [(base.above[e].bit_count(), base.below[e].bit_count()) for e in range(m)]
+
+    pos_children: list[list[int]] = [[] for _ in range(blow.positions + 1)]
+    for j in range(2, blow.positions + 1):
         pos_children[blow.parent_position[j - 1]].append(j)
     order: list[int] = []
     stack = [blow.id_of(1, 1)]
@@ -276,7 +291,7 @@ def _copy_tree_order(blow: BlowupPoset) -> list[int]:
         i, r = blow.labels[e]
         for j in reversed(pos_children[i]):
             stack.extend(reversed(blow.group_ids(j, r)))
-    return order
+    return parent, parent_up, sibling, need, order
 
 
 def _least_blowup_assignment(
@@ -284,7 +299,7 @@ def _least_blowup_assignment(
 ) -> tuple[int, ...] | None:
     """Lexicographically least embedding of a blowup, exploiting its shape.
 
-    Three blowup-specific accelerations over the generic backtracker:
+    Four blowup-specific accelerations over the generic backtracker:
 
     * parent-only order constraints — nesting is transitive, so pinning each
       copy against its copy-tree parent enforces the whole order;
@@ -296,14 +311,30 @@ def _least_blowup_assignment(
       elements are test-assigned in copy-tree order, where a starved fan
       surfaces right after its anchor; in element order the same dead end
       would only surface after enumerating every combination of the
-      unrelated fans placed in between.
+      unrelated fans placed in between;
+    * a witness — the completion found by the last successful probe is
+      kept.  While it agrees with the committed prefix, the mask it gives
+      the next element is committed without a probe (the witness completes
+      it), so only the smaller candidates are probed, and one that probes
+      true replaces the witness.  Only a floor makes the search backtrack
+      past a committed mask; the witness then disagrees with the prefix
+      and is not used again.
+
+    The search nests one frame per committed element and the probe one per
+    element it places, about ``m`` frames together; a blowup too deep for
+    the recursion limit raises SizeError before searching.
     """
     members = family.members
-    q = len(members)
-    base = blow.base
-    m = base.m
+    q, m = len(members), blow.size
     if q < m:
         return None
+    depth, frame = m + 4, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if depth > sys.getrecursionlimit():
+        raise SizeError(f"a blowup of {m} elements is too deep to search "
+                        f"under the recursion limit {sys.getrecursionlimit()}")
+    parent, parent_up, sibling, need, tree_order = _blowup_tables(blow)
     nest = Nesting(members)
     sup_sets, sub_sets = nest.up, nest.down
 
@@ -311,32 +342,17 @@ def _least_blowup_assignment(
     # supersets of its image (dually below)
     sup_counts = [s.bit_count() for s in sup_sets]
     sub_counts = [s.bit_count() for s in sub_sets]
-    allowed = []
-    for e in range(m):
-        need_up = base.above[e].bit_count()
-        need_down = base.below[e].bit_count()
-        bits = 0
-        for i in range(q):
-            if sup_counts[i] >= need_up and sub_counts[i] >= need_down:
-                bits |= 1 << i
-        allowed.append(bits)
+    allowed_for = {
+        (need_up, need_down): sum(
+            1 << i for i in range(q)
+            if sup_counts[i] >= need_up and sub_counts[i] >= need_down
+        )
+        for need_up, need_down in set(need)
+    }
+    allowed = [allowed_for[d] for d in need]
 
-    # per element: copy-tree parent (or -1), direction, and the fan
-    # predecessor whose mask it must exceed (or -1)
-    parent = [-1] * m
-    parent_up = [True] * m
-    sibling = [-1] * m
-    t = blow.t
-    for e, (i, r) in enumerate(blow.labels):
-        if i > 1:
-            j = blow.parent_position[i - 1]
-            parent[e] = blow.id_of(j, (r - 1) // t + 1)
-            parent_up[e] = blow.points_up[i - 1]
-        if (r - 1) % t:
-            sibling[e] = e - 1
-
-    tree_order = _copy_tree_order(blow)
     assign = [-1] * m
+    witness: list[int] = []
     full = (1 << q) - 1
 
     def candidates(e: int, used: int) -> int:
@@ -350,11 +366,12 @@ def _least_blowup_assignment(
         return cand
 
     def completable(rank: int, used: int) -> bool:
+        while rank < m and assign[tree_order[rank]] >= 0:
+            rank += 1
         if rank == m:
+            witness[:] = assign
             return True
         e = tree_order[rank]
-        if assign[e] >= 0:
-            return completable(rank + 1, used)
         cand = candidates(e, used)
         while cand:
             low = cand & -cand
@@ -371,14 +388,14 @@ def _least_blowup_assignment(
             return True
         cand = candidates(e, used)
         if tight:
-            start = bisect_left(members, floor[e])
-            cand &= full & ~((1 << start) - 1)
+            cand &= ~((1 << bisect_left(members, floor[e])) - 1)
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
             assign[e] = i
-            if completable(0, used | low) and extend(
+            witnessed = witness and witness[e] == i and witness[:e] == assign[:e]
+            if (witnessed or completable(0, used | low)) and extend(
                 e + 1, used | low, tight and members[i] == floor[e]
             ):
                 return True

@@ -133,5 +133,12 @@ class TestStructuralInvariants:
 
     def test_lex_order_is_id_order(self):
         b = blowup(fixture("v"), 0, 2)
-        assert b.lex_order == tuple(range(b.size))
-        assert b.labels == tuple(sorted(b.labels))
+        assert list(b.labels) == sorted(b.labels)
+
+    def test_equal_arguments_share_one_blowup(self, monkeypatch):
+        b = blowup(fixture("x"), 2, 3)
+        assert blowup(fixture("x"), 2, 3) is b
+        assert blowup(fixture("x"), 2, 3, b.ordering) == b
+        monkeypatch.setenv(ENV_VAR, '{"blowup_elements": 12}')
+        with pytest.raises(SizeError):
+            blowup(fixture("x"), 2, 3)  # a built blowup still obeys the cap

@@ -379,6 +379,57 @@ class TestOutputAndExitCodes:
         code, out, err = run(capsys, ["family", "profile", str(bad)])
         assert code == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("params",), None),
+            (("certificate",), None),
+            (("residual",), None),
+            (("params", "poset"), None),
+            (("params", "root"), None),
+            (("params", "t"), None),
+            (("params", "source"), None),
+            (("params", "root"), 0.0),
+            (("params", "t"), True),
+            (("params", "t"), "2"),
+            (("stats", "prune_count"), 1.5),
+            (("stats", "carve_count"), False),
+        ],
+    )
+    def test_malformed_pair_json_is_domain_error(
+        self, capsys, files, tmp_path, path, value
+    ):
+        # a valid pair with one entry removed (value None) or retyped
+        code, out, _ = run(
+            capsys,
+            ["containers", "run", str(FIXDIR / "v.json"), files["free"],
+             "--root", "0", "--t", "2"],
+        )
+        assert code == 0
+        pair = json.loads(out)
+        *parents, key = path
+        entry = pair
+        for name in parents:
+            entry = entry[name]
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        bad = tmp_path / "pair.json"
+        bad.write_text(json.dumps(pair))
+        code, out, err = run(capsys, ["containers", "verify", str(bad), files["free"]])
+        assert code == 1 and out == "" and err.startswith("error:") and key in err
+
+    def test_blowup_too_deep_to_search_is_domain_error(self, capsys, tmp_path):
+        cube = tmp_path / "cube11.txt"
+        cube.write_text(family_to_text(SetFamily(11, tuple(range(1 << 11)))))
+        code, out, err = run(
+            capsys,
+            ["embed", "first-copy", str(FIXDIR / "chain2.json"), str(cube),
+             "--root", "0", "--t", "1100"],
+        )
+        assert code == 1 and out == "" and "recursion limit" in err
+
     def test_bool_cover_entry_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"m": 2, "covers": [[true, 0]]}')
