@@ -25,9 +25,7 @@ The package is organised bottom-up:
 from .blowup import BlowupPoset, blowup, blowup_size
 from .caps import Caps, get_caps
 from .census import (
-    CensusResult,
     ExperimentRow,
-    census_result,
     count_p_free,
     e_lower,
     experiment_csv,
@@ -83,7 +81,6 @@ from .grading import (
 )
 from .lattice import (
     ChainProfile,
-    ChainProfileEstimate,
     MarkedChain,
     SetFamily,
     chain_profile,
@@ -97,7 +94,6 @@ from .lattice import (
     family_to_text,
     layer_family,
     marked_chain_lower_bound,
-    sample_chain_profile,
     trim_alpha,
 )
 from .poset import (
@@ -137,9 +133,9 @@ __all__ = [
     "GradedCompletion", "GradedChainCover", "graded_completion",
     "graded_chain_cover", "verify_chain_cover", "find_removable_interval",
     # lattice
-    "SetFamily", "ChainProfile", "ChainProfileEstimate", "MarkedChain",
-    "chain_profile", "sample_chain_profile", "count_marked_chains",
-    "enumerate_marked_chains", "marked_chain_lower_bound", "entropy_bound",
+    "SetFamily", "ChainProfile", "MarkedChain", "chain_profile",
+    "count_marked_chains", "enumerate_marked_chains",
+    "marked_chain_lower_bound", "entropy_bound",
     "trim_alpha", "complement_family", "layer_family", "family_to_dict",
     "family_from_dict", "family_to_text", "family_from_text",
     # embedding
@@ -152,9 +148,9 @@ __all__ = [
     "collection_size_bound", "container_pair_to_dict",
     "container_pair_from_dict",
     # census
-    "CensusResult", "ExperimentRow", "count_p_free", "la", "e_lower",
-    "census_result", "random_p_free_family", "layer_lower_bound",
-    "experiment_table", "experiment_csv",
+    "ExperimentRow", "count_p_free", "la", "e_lower",
+    "random_p_free_family", "layer_lower_bound", "experiment_table",
+    "experiment_csv",
     # caps
     "Caps", "get_caps",
     # errors

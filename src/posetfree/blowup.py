@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .caps import get_caps
 from .errors import DomainError, NotTreeError, SizeError
-from .poset import LeafOrdering, Poset, hasse_graph, is_tree_poset, leaf_ordering, validate_poset
+from .poset import LeafOrdering, Poset, is_tree_poset, leaf_ordering, validate_poset
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class BlowupPoset:
 
 
 def _distances_from(poset: Poset, x: int) -> list[int]:
-    graph = hasse_graph(poset)
+    graph = poset.hasse
     dist = [-1] * poset.m
     dist[x] = 0
     frontier = [x]
@@ -97,43 +97,28 @@ def blowup_size(poset: Poset, x: int, t: int) -> int:
     return total
 
 
-def _check_leaf_ordering(poset: Poset, x: int, ord_: LeafOrdering) -> None:
-    if ord_.root != x or len(ord_.order) != poset.m or set(ord_.order) != set(range(poset.m)):
-        raise ValueError("ordering does not cover the poset from the requested root")
-    graph = hasse_graph(poset)
-    for i in range(1, poset.m):
-        prefix = set(ord_.order[:i])
-        if sum(nb in prefix for nb in graph.adjacency[ord_.order[i]]) != 1:
-            raise ValueError("ordering is not a leaf ordering")
-
-
-def blowup(poset: Poset, x: int, t: int, ord: LeafOrdering | None = None) -> BlowupPoset:
+def blowup(poset: Poset, x: int, t: int) -> BlowupPoset:
     """Construct the blowup of a tree poset from the given root.
 
-    ``ord`` defaults to the deterministic :func:`leaf_ordering`; a caller-
-    supplied ordering is validated.  Raises ``SizeError`` when the result
-    would exceed the configured element cap.  Each blowup is built once and
-    shared between calls with equal arguments; never mutate it.
+    The positions follow the deterministic :func:`leaf_ordering` from x.
+    Raises ``SizeError`` when the result would exceed the configured element
+    cap.  Each blowup is built once and shared between calls with equal
+    arguments; never mutate it.
     """
-    return _blowup(poset, x, t, ord, get_caps().blowup_elements)
+    return _blowup(poset, x, t, get_caps().blowup_elements)
 
 
 @lru_cache(maxsize=32)
-def _blowup(
-    poset: Poset, x: int, t: int, ord: LeafOrdering | None, cap: int
-) -> BlowupPoset:
+def _blowup(poset: Poset, x: int, t: int, cap: int) -> BlowupPoset:
     if not is_tree_poset(poset):
         raise NotTreeError("blowups require a tree poset")
     if t < 1:
         raise DomainError("blowup multiplicity t must be >= 1")
-    if ord is None:
-        ord = leaf_ordering(poset, x)
-    else:
-        _check_leaf_ordering(poset, x, ord)
+    ordering = leaf_ordering(poset, x)
 
     m = poset.m
     dist = _distances_from(poset, x)
-    copies = [t ** dist[e] for e in ord.order]
+    copies = [t ** dist[e] for e in ordering.order]
     total = sum(copies)
     if total > cap:
         raise SizeError(f"blowup would have {total} elements, cap is {cap}")
@@ -142,8 +127,8 @@ def _blowup(
     for i in range(1, m):
         offsets[i] = offsets[i - 1] + copies[i - 1]
 
-    position_of = {e: i + 1 for i, e in enumerate(ord.order)}
-    graph = hasse_graph(poset)
+    position_of = {e: i + 1 for i, e in enumerate(ordering.order)}
+    graph = poset.hasse
     cover_set = poset.covers
 
     labels: list[tuple[int, int]] = []
@@ -155,7 +140,7 @@ def _blowup(
     groups: dict[tuple[int, int], tuple[int, ...]] = {}
     pairs: list[tuple[int, int]] = []
     for i in range(2, m + 1):
-        elem = ord.order[i - 1]
+        elem = ordering.order[i - 1]
         # unique earlier neighbour; it sits one step closer to the root
         (parent_elem,) = [
             nb for nb in graph.adjacency[elem] if position_of[nb] < i
@@ -178,7 +163,7 @@ def _blowup(
     assert is_tree_poset(base)
     return BlowupPoset(
         base=base,
-        ordering=ord,
+        ordering=ordering,
         t=t,
         labels=tuple(labels),
         groups=groups,

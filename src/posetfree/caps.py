@@ -39,11 +39,13 @@ def get_caps() -> Caps:
     if not raw:
         return DEFAULT_CAPS
     data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError(f"{ENV_VAR} must hold a JSON object, got {raw!r}")
     known = {f.name for f in fields(Caps)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown cap names in {ENV_VAR}: {sorted(unknown)}")
     for key, value in data.items():
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ValueError(f"cap {key!r} must be a positive integer")
     return replace(DEFAULT_CAPS, **data)

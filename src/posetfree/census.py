@@ -16,7 +16,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, factorial, log2
+from math import comb, factorial
 
 import numpy as np
 
@@ -28,9 +28,7 @@ from .lattice import SetFamily, layer_family
 from .poset import Poset, height
 
 __all__ = [
-    "CensusResult",
     "ExperimentRow",
-    "census_result",
     "count_p_free",
     "la",
     "e_lower",
@@ -39,18 +37,6 @@ __all__ = [
     "experiment_table",
     "experiment_csv",
 ]
-
-
-@dataclass(frozen=True)
-class CensusResult:
-    """Count and extremum for one (poset, n), with the count normalized by
-    the middle binomial coefficient on a log scale."""
-
-    label: str
-    n: int
-    count: int
-    la: int
-    normalized: float
 
 
 def _addable(search: PosetSearch, nest: Nesting, family: int, cands: int) -> int:
@@ -228,22 +214,6 @@ def layer_lower_bound(poset: Poset, n: int) -> tuple[int, SetFamily]:
     )
     witness = layer_family(n, range(start, start + width))
     return 1 << witness.size, witness
-
-
-def census_result(poset: Poset, n: int, label: str) -> CensusResult:
-    """Bundle the exact count and maximum size for one poset and cube."""
-    count = count_p_free(n, poset)
-    best = la(n, poset)
-    result = CensusResult(
-        label=label,
-        n=n,
-        count=count,
-        la=best,
-        normalized=log2(count) / comb(n, n // 2),
-    )
-    assert result.count >= 1 << result.la
-    assert result.la <= 1 << n
-    return result
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .blowup import BlowupPoset
 from .errors import InvalidMarkedChainError, PreconditionError, SizeError
 from .grading import GradedChainCover, verify_chain_cover
 from .lattice import MarkedChain, SetFamily
-from .poset import Poset, hasse_graph, restrict
+from .poset import Poset, restrict
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _search_order(poset: Poset) -> list[int]:
     first is adjacent to an earlier one — so each placement is constrained
     as soon as possible.
     """
-    graph = hasse_graph(poset)
+    graph = poset.hasse
     degree = [graph.degree(e) for e in range(poset.m)]
     removed = [False] * poset.m
     order = []

@@ -34,7 +34,6 @@ from .errors import IsChainError, NotGradedError, NotTreeError
 from .poset import (
     Poset,
     dual,
-    hasse_graph,
     height,
     interval,
     is_chain,
@@ -88,15 +87,7 @@ def graded_completion(poset: Poset) -> GradedCompletion:
     k = height(poset)
     chain_count = len(maximal_chains(poset))
 
-    # level = size of the longest chain ending at the element; filling in
-    # ascending down-set size processes every child before its parents
-    level = [1] * m
-    children = [[] for _ in range(m)]
-    for c, p in poset.covers:
-        children[p].append(c)
-    for e in sorted(range(m), key=lambda e: poset.below[e].bit_count()):
-        if children[e]:
-            level[e] = 1 + max(level[c] for c in children[e])
+    level = poset.depth  # size of the longest chain ending at each element
 
     covers: list[tuple[int, int]] = []
     next_id = m
@@ -137,7 +128,7 @@ def find_removable_interval(poset: Poset) -> tuple[int, tuple[int, ...]]:
     if is_chain(poset):
         raise IsChainError("a chain has no removable interval")
     k = height(poset)
-    graph = hasse_graph(poset)
+    graph = poset.hasse
     leaves = [e for e in range(poset.m) if graph.degree(e) == 1]
     all_elems = set(range(poset.m))
 

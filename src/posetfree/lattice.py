@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, log2
 
-import numpy as np
-
 from .caps import get_caps
 from .errors import (
     DomainError,
@@ -138,18 +136,6 @@ class ChainProfile:
         return sum(i * c for i, c in enumerate(self.counts)) / factorial(self.n)
 
 
-@dataclass(frozen=True)
-class ChainProfileEstimate:
-    """Monte Carlo estimate of counts[i]/n! from sampled maximal chains."""
-
-    n: int
-    samples: int
-    fractions: tuple[float, ...]
-
-    def mean_members(self) -> float:
-        return sum(i * f for i, f in enumerate(self.fractions))
-
-
 def entropy_bound(alpha: float, n: int) -> tuple[int, float]:
     """(sum of C(n,i) for i <= alpha*n, 2^{H(alpha)*n}) with lhs <= rhs.
 
@@ -171,7 +157,9 @@ def entropy_bound(alpha: float, n: int) -> tuple[int, float]:
 
 def trim_alpha(family: SetFamily, alpha: float) -> tuple[SetFamily, SetFamily]:
     """Split into (middle, tail): the tail holds members of size < alpha*n
-    or size > (1-alpha)*n."""
+    or size > (1-alpha)*n, for alpha in [0, 1/2]."""
+    if not 0 <= alpha <= 0.5:
+        raise DomainError(f"alpha must lie in [0, 1/2], got {alpha}")
     n = family.n
     tail = [m for m in family.members if m.bit_count() < alpha * n or m.bit_count() > (1 - alpha) * n]
     tail_set = set(tail)
@@ -179,23 +167,12 @@ def trim_alpha(family: SetFamily, alpha: float) -> tuple[SetFamily, SetFamily]:
     return SetFamily(n, tuple(mid)), SetFamily(n, tuple(tail))
 
 
-def _assert_incidence_identity(family: SetFamily, counts) -> None:
-    # chains through a fixed set of size s number s!(n-s)!
-    n = family.n
-    observed = sum(i * c for i, c in enumerate(counts))
-    expected = sum(
-        factorial(m.bit_count()) * factorial(n - m.bit_count()) for m in family.members
-    )
-    assert observed == expected
-
-
 def chain_profile(family: SetFamily) -> ChainProfile:
     """Exact chain profile by dynamic programming over the subset lattice."""
     n = family.n
     if n > get_caps().profile_dp_n:
         raise TooLargeError(
-            f"exact chain profile is capped at n={get_caps().profile_dp_n}; "
-            "use sample_chain_profile"
+            f"exact chain profile is capped at n={get_caps().profile_dp_n}"
         )
     members = family.member_set
     width = n + 2
@@ -216,56 +193,11 @@ def chain_profile(family: SetFamily) -> ChainProfile:
             bits ^= low
         table[mask] = row
     counts = tuple(table[(1 << n) - 1])
-    _assert_incidence_identity(family, counts)
+    # chains through a fixed set of size s number s!(n-s)!
+    assert sum(i * c for i, c in enumerate(counts)) == sum(
+        factorial(m.bit_count()) * factorial(n - m.bit_count()) for m in family.members
+    )
     return ChainProfile(n, counts)
-
-
-def chain_profile_bruteforce(family: SetFamily) -> ChainProfile:
-    """Exact chain profile by iterating all n! permutations (cross-check)."""
-    n = family.n
-    if n > get_caps().profile_perm_n:
-        raise TooLargeError(
-            f"permutation-based chain profile is capped at n={get_caps().profile_perm_n}"
-        )
-    members = family.member_set
-    counts = [0] * (n + 2)
-    base = 1 if 0 in members else 0
-    for perm in itertools.permutations(range(n)):
-        mask = 0
-        hits = base
-        for e in perm:
-            mask |= 1 << e
-            if mask in members:
-                hits += 1
-        counts[hits] += 1
-    _assert_incidence_identity(family, counts)
-    return ChainProfile(n, tuple(counts))
-
-
-def sample_chain_profile(family: SetFamily, samples: int, seed: int) -> ChainProfileEstimate:
-    """Estimate counts[i]/n! from uniformly random maximal chains."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    n = family.n
-    if n > 62:
-        raise ValueError("sampling supports ground sets up to 62 elements")
-    counts = np.zeros(n + 2, dtype=np.int64)
-    if n == 0:
-        counts[1 if 0 in family else 0] = samples
-    else:
-        rng = np.random.Generator(np.random.Philox(seed))
-        member_arr = np.array(family.members, dtype=np.int64)
-        base = 1 if 0 in family else 0
-        remaining = samples
-        while remaining:
-            block = min(remaining, 1 << 14)
-            perms = rng.permuted(np.tile(np.arange(n), (block, 1)), axis=1)
-            masks = np.cumsum(np.int64(1) << perms.astype(np.int64), axis=1)
-            hits = np.isin(masks, member_arr).sum(axis=1) + base
-            counts += np.bincount(hits, minlength=n + 2)
-            remaining -= block
-    fractions = tuple(float(c) / samples for c in counts)
-    return ChainProfileEstimate(n, samples, fractions)
 
 
 @dataclass(frozen=True)
@@ -349,32 +281,6 @@ def count_marked_chains(family: SetFamily, k: int, a: int) -> int:
     else:
         assert count >= floor
     return count
-
-
-def count_marked_chains_bruteforce(family: SetFamily, k: int, a: int) -> int:
-    """Permutation-by-permutation marked-chain count (cross-check)."""
-    if k < 1 or a < 1:
-        raise DomainError("k and a must be positive integers")
-    n = family.n
-    if n > get_caps().profile_perm_n:
-        raise TooLargeError(
-            f"permutation-based marked-chain counting is capped at "
-            f"n={get_caps().profile_perm_n}"
-        )
-    members = family.member_set
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sizes = [0] if 0 in members else []
-        mask = 0
-        for i, e in enumerate(perm):
-            mask |= 1 << e
-            if mask in members:
-                sizes.append(i + 1)
-        sizes.reverse()
-        for combo in itertools.combinations(sizes, k):
-            if all(combo[i] - combo[i + 1] >= a for i in range(k - 1)):
-                total += 1
-    return total
 
 
 def enumerate_marked_chains(family: SetFamily, k: int, a: int):

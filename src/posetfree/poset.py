@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from functools import cached_property
 from collections.abc import Iterable
 
 from .errors import CycleError, NotReducedError, NotTreeError
@@ -32,6 +33,8 @@ class Poset:
 
     Build instances through :func:`validate_poset`; the derived ``above``
     and ``below`` bitmasks are trusted by every consumer in this package.
+    The order structure read from them (longest-chain depths, the Hasse
+    graph and the tree flag) is derived once per instance, on first use.
     """
 
     m: int
@@ -42,9 +45,6 @@ class Poset:
     def less(self, a: int, b: int) -> bool:
         """True iff a < b in the partial order."""
         return bool(self.above[a] >> b & 1)
-
-    def leq(self, a: int, b: int) -> bool:
-        return a == b or self.less(a, b)
 
     def comparable(self, a: int, b: int) -> bool:
         return a == b or self.less(a, b) or self.less(b, a)
@@ -64,6 +64,33 @@ class Poset:
 
     def sorted_covers(self) -> list[tuple[int, int]]:
         return sorted(self.covers)
+
+    @cached_property
+    def hasse(self) -> HasseGraph:
+        return hasse_graph(self)
+
+    @cached_property
+    def depth(self) -> tuple[int, ...]:
+        """Element count of the longest chain ending at each element."""
+        depth = [1] * self.m
+        # a child's strict down-set is smaller than its parent's
+        for e in sorted(range(self.m), key=lambda e: self.below[e].bit_count()):
+            children = (c for c in self.hasse.adjacency[e] if self.less(c, e))
+            depth[e] += max((depth[c] for c in children), default=0)
+        return tuple(depth)
+
+    @cached_property
+    def is_tree(self) -> bool:
+        """True iff the Hasse diagram is a tree (connected, acyclic)."""
+        if len(self.covers) != self.m - 1:
+            return False
+        seen, stack = {0}, [0]
+        while stack:
+            for other in self.hasse.adjacency[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return len(seen) == self.m
 
 
 @dataclass(frozen=True)
@@ -207,36 +234,9 @@ def transitive_reduction(m: int, relations: Iterable[tuple[int, int]]) -> list[t
     return sorted(covers)
 
 
-def _longest_ending_at(poset: Poset) -> list[int]:
-    """Longest-chain sizes ending at each element, bottom-up."""
-    m = poset.m
-    children = [[] for _ in range(m)]
-    for c, p in poset.covers:
-        children[p].append(c)
-    # process in an order where children precede parents
-    order = []
-    indeg = [len(children[e]) for e in range(m)]
-    queue = deque(e for e in range(m) if indeg[e] == 0)
-    up = [[] for _ in range(m)]
-    for c, p in poset.covers:
-        up[c].append(p)
-    while queue:
-        e = queue.popleft()
-        order.append(e)
-        for p in up[e]:
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                queue.append(p)
-    depth = [1] * m
-    for e in order:
-        if children[e]:
-            depth[e] = 1 + max(depth[c] for c in children[e])
-    return depth
-
-
 def height(poset: Poset) -> int:
     """Element count of the longest maximal chain."""
-    return max(_longest_ending_at(poset))
+    return max(poset.depth)
 
 
 def is_graded(poset: Poset) -> bool:
@@ -246,7 +246,7 @@ def is_graded(poset: Poset) -> bool:
     one along every cover, and every maximal element must sit at the top
     depth.  This agrees with exhaustive chain enumeration.
     """
-    depth = _longest_ending_at(poset)
+    depth = poset.depth
     k = max(depth)
     for c, p in poset.covers:
         if depth[p] != depth[c] + 1:
@@ -261,6 +261,7 @@ def is_chain(poset: Poset) -> bool:
 
 
 def hasse_graph(poset: Poset) -> HasseGraph:
+    """Build the Hasse graph; :attr:`Poset.hasse` keeps one per poset."""
     adj = [set() for _ in range(poset.m)]
     for c, p in poset.covers:
         adj[c].add(p)
@@ -270,18 +271,7 @@ def hasse_graph(poset: Poset) -> HasseGraph:
 
 def is_tree_poset(poset: Poset) -> bool:
     """True iff the Hasse diagram is a tree (connected, acyclic)."""
-    if len(poset.covers) != poset.m - 1:
-        return False
-    graph = hasse_graph(poset)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        e = queue.popleft()
-        for other in graph.adjacency[e]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    return len(seen) == poset.m
+    return poset.is_tree
 
 
 def maximal_chains(poset: Poset) -> list[tuple[int, ...]]:
@@ -290,11 +280,7 @@ def maximal_chains(poset: Poset) -> list[tuple[int, ...]]:
     Maximal chains are the saturated chains from a minimal to a maximal
     element, i.e. the cover paths from a source to a sink.
     """
-    up = [[] for _ in range(poset.m)]
-    for c, p in poset.covers:
-        up[c].append(p)
-    for lst in up:
-        lst.sort()
+    up = [[p for p in poset.hasse.adjacency[e] if poset.less(e, p)] for e in range(poset.m)]
     chains: list[tuple[int, ...]] = []
     path: list[int] = []
 
@@ -354,7 +340,7 @@ def leaf_ordering(poset: Poset, x: int) -> LeafOrdering:
         raise ValueError(f"root {x} out of range")
     if not is_tree_poset(poset):
         raise NotTreeError("leaf orderings require a tree poset")
-    graph = hasse_graph(poset)
+    graph = poset.hasse
     order = [x]
     placed = {x}
     while len(order) < poset.m:

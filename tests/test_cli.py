@@ -370,6 +370,23 @@ class TestOutputAndExitCodes:
         assert code == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "caps", ["5", "null", "[]", '"la_n"', '{"la_n": true}', '{"la_n": 0}']
+    )
+    def test_malformed_caps_is_domain_error(self, capsys, monkeypatch, caps):
+        monkeypatch.setenv("POSET_CONTAINERS_CAPS", caps)
+        code, out, err = run(
+            capsys, ["census", "la", "--poset", str(FIXDIR / "v.json"), "--n", "2"]
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("alpha", ["0.9", "-1", "nan"])
+    def test_trim_alpha_outside_half_is_domain_error(self, capsys, files, alpha):
+        code, out, err = run(
+            capsys, ["family", "trim", "--alpha", alpha, files["mixed_txt"]]
+        )
+        assert code == 1 and out == "" and err.startswith("error: alpha")
+
+    @pytest.mark.parametrize(
         "text",
         ['{"n": 3, "members": [2.7]}', '{"n": 3, "members": ["5"]}', '{"n": 3}'],
     )

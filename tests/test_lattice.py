@@ -20,10 +20,8 @@ from posetfree.lattice import (
     MarkedChain,
     SetFamily,
     chain_profile,
-    chain_profile_bruteforce,
     complement_family,
     count_marked_chains,
-    count_marked_chains_bruteforce,
     entropy_bound,
     enumerate_marked_chains,
     family_from_dict,
@@ -32,7 +30,6 @@ from posetfree.lattice import (
     family_to_text,
     layer_family,
     marked_chain_lower_bound,
-    sample_chain_profile,
     trim_alpha,
 )
 
@@ -159,6 +156,15 @@ class TestTrimAlpha:
         assert mid.members == (1,)
         assert tail.members == (0, 3)
 
+    def test_end_points_are_accepted(self):
+        assert trim_alpha(full_family(2), 0.0) == (full_family(2), SetFamily(2, ()))
+        assert trim_alpha(full_family(2), 0.5)[0].members == (1, 2)
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.51, -1.0, float("nan")])
+    def test_alpha_outside_half_is_domain_error(self, alpha):
+        with pytest.raises(DomainError):
+            trim_alpha(full_family(2), alpha)
+
 
 class TestChainProfile:
     def test_full_family_on_two_points(self):
@@ -194,14 +200,13 @@ class TestChainProfile:
             for seed in range(3):
                 fam = random_family(n, seed + 10 * n)
                 dp = chain_profile(fam)
-                assert dp.counts == chain_profile_bruteforce(fam).counts
                 assert dp.counts == oracles.chain_profile_by_permutations(n, fam.members)
 
     def test_caps(self, monkeypatch):
         with pytest.raises(TooLargeError):
             chain_profile(SetFamily(15, ()))
         with pytest.raises(TooLargeError):
-            chain_profile_bruteforce(SetFamily(11, ()))
+            next(enumerate_marked_chains(SetFamily(11, ()), 1, 1))
         monkeypatch.setenv("POSET_CONTAINERS_CAPS", '{"profile_dp_n": 3}')
         with pytest.raises(TooLargeError):
             chain_profile(SetFamily(4, ()))
@@ -209,40 +214,6 @@ class TestChainProfile:
     def test_profile_type_rejects_bad_total(self):
         with pytest.raises(AssertionError):
             ChainProfile(2, (0, 0, 0, 1))
-
-
-class TestSampleChainProfile:
-    def test_empty_family_concentrates_at_zero(self):
-        est = sample_chain_profile(SetFamily(5, ()), 500, seed=1)
-        assert est.fractions[0] == 1.0
-
-    def test_full_family_on_two_points(self):
-        est = sample_chain_profile(full_family(2), 200, seed=9)
-        assert est.fractions == (0.0, 0.0, 0.0, 1.0)
-
-    def test_middle_layer_always_hit_once(self):
-        est = sample_chain_profile(layer_family(12, [6]), 3000, seed=42)
-        assert est.fractions[1] == 1.0
-        assert est.mean_members() == pytest.approx(1.0)
-
-    def test_deterministic_given_seed(self):
-        fam = random_family(6, 3)
-        a = sample_chain_profile(fam, 1000, seed=7)
-        b = sample_chain_profile(fam, 1000, seed=7)
-        c = sample_chain_profile(fam, 1000, seed=8)
-        assert a == b
-        assert a != c
-
-    def test_tracks_exact_profile(self):
-        fam = random_family(5, 2)
-        exact = chain_profile(fam)
-        est = sample_chain_profile(fam, 20000, seed=0)
-        for i, c in enumerate(exact.counts):
-            assert est.fractions[i] == pytest.approx(c / factorial(5), abs=0.02)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sample_chain_profile(SetFamily(2, ()), 0, seed=1)
 
 
 class TestCountMarkedChains:
@@ -267,7 +238,6 @@ class TestCountMarkedChains:
                 for k in (1, 2, 3):
                     for a in (1, 2):
                         exact = count_marked_chains(fam, k, a)
-                        assert exact == count_marked_chains_bruteforce(fam, k, a)
                         assert exact == oracles.marked_chains_by_permutations(
                             n, fam.members, k, a
                         )

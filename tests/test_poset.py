@@ -168,6 +168,25 @@ class TestDual:
             assert is_graded(dual(p)) == is_graded(p)
 
 
+class TestDerivedStructure:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_random_trees_and_duals_match_oracles(self, m):
+        # dual() builds its poset directly, without validate_poset
+        for seed in range(6):
+            p = random_tree_poset(m, seed)
+            for q in (p, dual(p)):
+                chains = oracles.all_maximal_chains(q.m, q.covers)
+                assert height(q) == oracles.poset_height(q.m, q.covers)
+                assert is_graded(q) == oracles.graded_by_enumeration(q.m, q.covers)
+                assert is_tree_poset(q)
+                assert maximal_chains(q) == chains  # lexicographic order
+
+    def test_non_tree_and_its_dual(self):
+        p = fixture("butterfly")
+        assert not is_tree_poset(p) and not is_tree_poset(dual(p))
+        assert height(dual(p)) == 2 and is_graded(dual(p))
+
+
 class TestLeafOrdering:
     def test_v_from_bottom(self):
         assert leaf_ordering(fixture("v"), 0).order == (0, 1, 2)
