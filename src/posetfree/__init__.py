@@ -67,7 +67,6 @@ from .errors import (
     NotTreeError,
     PosetError,
     PreconditionError,
-    SizeError,
     TooLargeError,
 )
 from .fixtures import fixture, fixture_names, random_graded_tree_poset, random_tree_poset
@@ -112,7 +111,6 @@ from .poset import (
     poset_from_dict,
     poset_to_dict,
     restrict,
-    transitive_reduction,
     validate_poset,
 )
 
@@ -124,7 +122,7 @@ __all__ = [
     "Poset", "HasseGraph", "LeafOrdering", "validate_poset", "poset_to_dict",
     "poset_from_dict", "hasse_graph", "height", "maximal_chains", "dual",
     "interval", "restrict", "is_chain", "is_graded", "is_tree_poset",
-    "leaf_ordering", "transitive_reduction",
+    "leaf_ordering",
     # fixtures
     "fixture", "fixture_names", "random_tree_poset", "random_graded_tree_poset",
     # blowup
@@ -155,7 +153,7 @@ __all__ = [
     "Caps", "get_caps",
     # errors
     "PosetError", "CycleError", "NotReducedError", "NotTreeError",
-    "NotGradedError", "IsChainError", "DomainError", "SizeError",
+    "NotGradedError", "IsChainError", "DomainError",
     "TooLargeError", "PreconditionError", "NotPFreeError",
     "InvalidMarkedChainError",
 ]

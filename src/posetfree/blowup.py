@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .caps import get_caps
-from .errors import DomainError, NotTreeError, SizeError
+from .errors import DomainError, NotTreeError, TooLargeError
 from .poset import LeafOrdering, Poset, is_tree_poset, leaf_ordering, validate_poset
 
 
@@ -101,8 +101,8 @@ def blowup(poset: Poset, x: int, t: int) -> BlowupPoset:
     """Construct the blowup of a tree poset from the given root.
 
     The positions follow the deterministic :func:`leaf_ordering` from x.
-    Raises ``SizeError`` when the result would exceed the configured element
-    cap.  Each blowup is built once and shared between calls with equal
+    Raises ``TooLargeError`` when the result would exceed the configured
+    element cap.  Each blowup is built once and shared between calls with equal
     arguments; never mutate it.
     """
     return _blowup(poset, x, t, get_caps().blowup_elements)
@@ -121,7 +121,7 @@ def _blowup(poset: Poset, x: int, t: int, cap: int) -> BlowupPoset:
     copies = [t ** dist[e] for e in ordering.order]
     total = sum(copies)
     if total > cap:
-        raise SizeError(f"blowup would have {total} elements, cap is {cap}")
+        raise TooLargeError(f"blowup would have {total} elements, cap is {cap}")
 
     offsets = [0] * m
     for i in range(1, m):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -101,7 +102,8 @@ def count_p_free(n: int, poset: Poset, processes: int = 1) -> int:
         return _count(search, nest, 0, root)
     # one task per child of the root: the free families with a given least member
     tasks = [(n, poset, *node) for node in _children(search, nest, 0, root)]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
+    workers = max(1, min(processes, len(tasks), os.cpu_count() or 1))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return 1 + sum(pool.map(_count_task, tasks))
 
 

@@ -22,6 +22,7 @@ reaches all of P is a copy of P inside F, so F was not P-free.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,11 +96,6 @@ class ContainerCollection:
     @property
     def max_residual_size(self) -> int:
         return max((p.residual.size for p in self.pairs), default=0)
-
-    def pair_for(self, certificate: SetFamily) -> ContainerPair | None:
-        return next(
-            (p for p in self.pairs if p.certificate == certificate), None
-        )
 
 
 def container_pair(
@@ -232,22 +228,22 @@ def build_collection(
 ) -> ContainerCollection:
     """Carve every input against a shared source and collect distinct pairs.
 
-    Inputs are processed in order (optionally across ``processes`` worker
-    processes; results are still merged in input order, so the outcome is
-    identical).  Repeated certificates are checked to reproduce the same
-    pair.  A :class:`NotPFreeError` from some input is re-raised with that
-    input's position prepended.
+    Inputs are processed in order, optionally across at most ``processes``
+    worker processes, one per input and per core; results are merged in
+    input order, so the outcome is identical.  Repeated certificates are
+    checked to reproduce the same pair.  A :class:`NotPFreeError` from some
+    input is re-raised with that input's position prepended.
     """
     if processes < 1:
         raise DomainError("processes must be positive")
     tasks = [(poset, root, t, source, fam) for fam in inputs]
+    workers = min(processes, len(tasks), os.cpu_count() or 1)
 
     def run_all():
-        if processes == 1 or len(tasks) <= 1:
-            for task in tasks:
-                yield container_pair(*task)
+        if workers <= 1:
+            yield from map(_pair_task, tasks)
         else:
-            with ProcessPoolExecutor(max_workers=processes) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 yield from pool.map(_pair_task, tasks)
 
     distinct: dict[tuple[int, ...], ContainerPair] = {}

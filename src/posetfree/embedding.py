@@ -10,10 +10,11 @@ Three searches live here:
 * :func:`contains_poset` / :func:`is_p_free` — backtracking over P's
   elements in a fixed order with nesting-consistency pruning, planned once
   per poset (:class:`PosetSearch`) and run on bitsets over a :class:`Nesting`.
-* :func:`first_copy` — the canonically least copy of a blowup: copies are
-  keyed by their image tuple in element order and compared lexicographically
-  by mask value; depth-first search in element order with ascending
-  candidates finds the least key first.
+* :func:`first_copy` — the canonically least copy of a blowup P(x, t)
+  (blowups only; for P itself, search ``blowup(P, x, 1)``): copies are keyed
+  by their image tuple in element order and compared lexicographically by
+  mask value; depth-first search in element order with ascending candidates
+  finds the least key first.
 * :func:`embed_via_marked_chains` — embeds a graded poset chain by chain
   along a graded chain cover, mapping each cover chain onto the marker set
   of one marked chain.  The recursion peels the last cover chain, embeds the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .blowup import BlowupPoset
-from .errors import InvalidMarkedChainError, PreconditionError, SizeError
+from .errors import InvalidMarkedChainError, PreconditionError, TooLargeError
 from .grading import GradedChainCover, verify_chain_cover
 from .lattice import MarkedChain, SetFamily
 from .poset import Poset, restrict
@@ -161,7 +162,7 @@ class PosetSearch:
                 placed.append(e)
         return pinned, steps
 
-    def _run(self, nest: Nesting, family: int, plan, at: int = -1, floor=None):
+    def _run(self, nest: Nesting, family: int, plan, at: int = -1):
         pinned, steps = plan
         if family.bit_count() < self.m:
             return None
@@ -172,15 +173,13 @@ class PosetSearch:
             assign[pinned], used = at, 1 << at
         last = len(steps)
 
-        def extend(d: int, used: int, tight: bool) -> bool:
+        def extend(d: int, used: int) -> bool:
             if d == last:
                 return True
             e, need_up, need_down, cons = steps[d]
             cand = family & ~used
             for f, f_below in cons:
                 cand &= up[assign[f]] if f_below else down[assign[f]]
-            if tight:
-                cand &= ~((1 << bisect_left(masks, floor[d])) - 1)
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -190,23 +189,18 @@ class PosetSearch:
                 if need_down and (down[i] & family).bit_count() < need_down:
                     continue
                 assign[e] = i
-                if extend(d + 1, used | low, tight and masks[i] == floor[d]):
+                if extend(d + 1, used | low):
                     return True
             assign[e] = -1
             return False
 
-        if not extend(0, used, floor is not None):
+        if not extend(0, used):
             return None
         return tuple(masks[i] for i in assign)
 
-    def first(self, nest: Nesting, family: int, floor=None) -> tuple[int, ...] | None:
-        """The first copy in ``family`` (a bitset over ``nest``), or None.
-
-        ``floor`` (one mask per order position) skips assignments whose
-        tuple sorts below it — sound whenever the caller knows no copy below
-        the floor exists, and it lets repeated searches resume.
-        """
-        return self._run(nest, family, self._plans[0], floor=floor)
+    def first(self, nest: Nesting, family: int) -> tuple[int, ...] | None:
+        """The first copy in ``family`` (a bitset over ``nest``), or None."""
+        return self._run(nest, family, self._plans[0])
 
     def through(self, nest: Nesting, family: int, at: int) -> tuple[int, ...] | None:
         """The first copy with some image on index ``at``, which must be in
@@ -220,11 +214,9 @@ class PosetSearch:
 
 
 @lru_cache(maxsize=64)
-def poset_search(poset: Poset, element_order: bool = False) -> PosetSearch:
-    """The search for ``poset`` in reverse min-degree strip order, or in
-    element order (the canonical copy order)."""
-    order = list(range(poset.m)) if element_order else _search_order(poset)
-    return PosetSearch(poset, order)
+def poset_search(poset: Poset) -> PosetSearch:
+    """The search for ``poset`` in reverse min-degree strip order."""
+    return PosetSearch(poset, _search_order(poset))
 
 
 def contains_poset(family: SetFamily, poset: Poset) -> Embedding | None:
@@ -322,7 +314,7 @@ def _least_blowup_assignment(
 
     The search nests one frame per committed element and the probe one per
     element it places, about ``m`` frames together; a blowup too deep for
-    the recursion limit raises SizeError before searching.
+    the recursion limit raises TooLargeError before searching.
     """
     members = family.members
     q, m = len(members), blow.size
@@ -332,8 +324,8 @@ def _least_blowup_assignment(
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     if depth > sys.getrecursionlimit():
-        raise SizeError(f"a blowup of {m} elements is too deep to search "
-                        f"under the recursion limit {sys.getrecursionlimit()}")
+        raise TooLargeError(f"a blowup of {m} elements is too deep to search "
+                            f"under the recursion limit {sys.getrecursionlimit()}")
     parent, parent_up, sibling, need, tree_order = _blowup_tables(blow)
     nest = Nesting(members)
     sup_sets, sub_sets = nest.up, nest.down
@@ -408,29 +400,23 @@ def _least_blowup_assignment(
 
 
 def first_copy(
-    family: SetFamily,
-    blow: BlowupPoset | Poset,
-    floor: tuple[int, ...] | None = None,
+    family: SetFamily, blow: BlowupPoset, floor: tuple[int, ...] | None = None
 ) -> Embedding | None:
-    """The least copy of ``blow`` in ``family`` under the canonical order.
+    """The least copy of the blowup ``blow`` in ``family``, or None.
 
     Copies are keyed by the tuple of image masks in element order and
     compared lexicographically; searching elements in that same order with
-    ascending candidates returns the least key first.  None if the family
-    has no copy.
+    ascending candidates returns the least key first.  For a tree poset P
+    itself, pass ``blowup(P, root, 1)``: P relabelled by leaf-ordering
+    position.  A blowup too deep to search raises ``TooLargeError``.
 
     ``floor`` skips keys below the given tuple.  That is only sound when the
     caller knows no smaller copy exists — e.g. resuming after members were
     removed from a family whose least copy key was ``floor``.
     """
-    base = blow.base if isinstance(blow, BlowupPoset) else blow
-    if floor is not None and len(floor) != base.m:
+    if floor is not None and len(floor) != blow.size:
         raise PreconditionError("floor must assign one mask per element")
-    if isinstance(blow, BlowupPoset):
-        result = _least_blowup_assignment(family, blow, floor)
-    else:
-        nest = Nesting(family.members)
-        result = poset_search(base, element_order=True).first(nest, nest.full, floor)
+    result = _least_blowup_assignment(family, blow, floor)
     return None if result is None else Embedding(family, result)
 
 

@@ -32,16 +32,12 @@ class IsChainError(PosetError):
     """The operation requires a poset that is not a single chain."""
 
 
-class SizeError(PosetError):
-    """A construction would exceed its configured element cap."""
-
-
 class DomainError(ValueError):
     """An argument lies outside its documented domain."""
 
 
 class TooLargeError(Exception):
-    """The instance exceeds the cap guaranteeing exact-mode behaviour."""
+    """An instance exceeds a configured cap (or a search, the recursion limit)."""
 
 
 class PreconditionError(Exception):

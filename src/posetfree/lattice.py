@@ -51,19 +51,6 @@ class SetFamily:
     def from_masks(cls, n: int, masks) -> "SetFamily":
         return cls(n, tuple(sorted(set(masks))))
 
-    @classmethod
-    def from_sets(cls, n: int, sets) -> "SetFamily":
-        """Build from iterables of 1-based elements of the ground set."""
-        masks = []
-        for s in sets:
-            mask = 0
-            for e in s:
-                if not 1 <= e <= n:
-                    raise ValueError(f"element {e} outside ground set [1, {n}]")
-                mask |= 1 << (e - 1)
-            masks.append(mask)
-        return cls.from_masks(n, masks)
-
     @cached_property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)

@@ -55,13 +55,6 @@ class Poset:
     def maximal_elements(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.m) if not self.above[e])
 
-    def order_pairs(self) -> frozenset[tuple[int, int]]:
-        """All strict relations (a, b) with a < b."""
-        return frozenset(
-            (a, b) for a in range(self.m) for b in range(self.m)
-            if self.above[a] >> b & 1
-        )
-
     def sorted_covers(self) -> list[tuple[int, int]]:
         return sorted(self.covers)
 
@@ -189,49 +182,6 @@ def validate_poset(m: int, covers: Iterable[tuple[int, int]]) -> Poset:
             raise NotReducedError(f"cover pair ({c}, {p}) is transitively implied")
 
     return Poset(m, frozenset(pairs), tuple(above), tuple(below))
-
-
-def transitive_reduction(m: int, relations: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Reduce an arbitrary generating set of strict relations to cover pairs.
-
-    The relations may contain transitively implied pairs; cycles raise
-    ``CycleError``.  Returns the sorted cover list of the generated order.
-    """
-    if m < 1:
-        raise ValueError("element count must be positive")
-    above = [0] * m
-    succ = [[] for _ in range(m)]
-    for a, b in set(relations):
-        if a == b:
-            raise CycleError(f"self-loop at element {a}")
-        if not (0 <= a < m and 0 <= b < m):
-            raise ValueError(f"relation ({a}, {b}) out of range for m={m}")
-        succ[a].append(b)
-    # closure by repeated BFS (m is small wherever this helper is used)
-    for a in range(m):
-        seen = 0
-        stack = list(succ[a])
-        while stack:
-            b = stack.pop()
-            bit = 1 << b
-            if seen & bit:
-                continue
-            seen |= bit
-            stack.extend(succ[b])
-        if seen >> a & 1:
-            raise CycleError("relations contain a directed cycle")
-        above[a] = seen
-    covers = []
-    for a in range(m):
-        mask = above[a]
-        while mask:
-            low = mask & -mask
-            b = low.bit_length() - 1
-            mask ^= low
-            between = above[a] & ~(1 << b)
-            if not any(above[c] >> b & 1 and between >> c & 1 for c in range(m)):
-                covers.append((a, b))
-    return sorted(covers)
 
 
 def height(poset: Poset) -> int:

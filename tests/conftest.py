@@ -2,10 +2,44 @@
 
 After any run that touched ``tests/test_acceptance.py``, print a one-line
 PASS/FAIL verdict per acceptance criterion so the overall gate is readable
-at a glance without scrolling through the verbose log.
+at a glance without scrolling through the verbose log.  The ``serial_pool``
+fixture stands in for the library's process pools.
 """
 
 from __future__ import annotations
+
+import pytest
+
+
+class SerialPool:
+    """A ``ProcessPoolExecutor`` stand-in that maps in this process and
+    records every ``max_workers`` it is asked for."""
+
+    def __init__(self, log: list[int], max_workers: int):
+        log.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch) -> list[int]:
+    """Patch ``SerialPool`` into census and containers; return its log."""
+    import posetfree.census
+    import posetfree.containers
+
+    log: list[int] = []
+    for module in (posetfree.census, posetfree.containers):
+        monkeypatch.setattr(
+            module, "ProcessPoolExecutor", lambda max_workers: SerialPool(log, max_workers)
+        )
+    return log
 
 ACCEPTANCE_FILE = "test_acceptance.py"
 

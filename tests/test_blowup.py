@@ -5,7 +5,7 @@ import pytest
 
 from posetfree.blowup import blowup, blowup_size
 from posetfree.caps import ENV_VAR
-from posetfree.errors import DomainError, NotTreeError, SizeError
+from posetfree.errors import DomainError, NotTreeError, TooLargeError
 from posetfree.fixtures import FIXTURES, fixture
 from posetfree.poset import height, is_graded, is_tree_poset, maximal_chains, validate_poset
 
@@ -73,7 +73,7 @@ class TestSizes:
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, '{"blowup_elements": 5}')
-        with pytest.raises(SizeError):
+        with pytest.raises(TooLargeError):
             blowup(fixture("path4"), 0, 2)
         monkeypatch.delenv(ENV_VAR)
         blowup(fixture("path4"), 0, 2)  # default cap is ample
@@ -139,5 +139,5 @@ class TestStructuralInvariants:
         b = blowup(fixture("x"), 2, 3)
         assert blowup(fixture("x"), 2, 3) is b
         monkeypatch.setenv(ENV_VAR, '{"blowup_elements": 12}')
-        with pytest.raises(SizeError):
+        with pytest.raises(TooLargeError):
             blowup(fixture("x"), 2, 3)  # a built blowup still obeys the cap

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 from math import comb
 
 import pytest
@@ -25,7 +26,7 @@ from posetfree.embedding import is_p_free
 from posetfree.errors import DomainError, TooLargeError
 from posetfree.fixtures import fixture, fixture_names, random_tree_poset
 from posetfree.lattice import SetFamily, layer_family
-from posetfree.poset import height
+from posetfree.poset import dual, height, validate_poset
 
 
 class TestCountPFree:
@@ -64,6 +65,12 @@ class TestCountPFree:
         assert count_p_free(3, fixture("v"), processes=3) == count_p_free(
             3, fixture("v")
         )
+
+    def test_pool_is_bounded_by_cores(self, serial_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # 8 tasks, one per free single-member family over [3], on 4 cores
+        assert count_p_free(3, fixture("chain2"), processes=10_000) == 20
+        assert serial_pool == [4]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(TooLargeError):
@@ -121,6 +128,26 @@ class TestAgainstOracles:
         assert la(n, poset) == oracles.largest_p_free_family(
             n, poset.m, poset.sorted_covers()
         )
+
+
+class TestSymmetry:
+    # relabelling the elements changes the search order; dualising is
+    # complementation of the ground set, which maps P-free families onto
+    # dual(P)-free ones
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=3),
+        st.permutations(range(6)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_relabelling_and_dualising_keep_count_and_la(self, m, seed, n, perm):
+        poset = random_tree_poset(m, seed)
+        label = [e for e in perm if e < m]
+        relabelled = validate_poset(m, [(label[a], label[b]) for a, b in poset.covers])
+        want = (count_p_free(n, poset), la(n, poset))
+        for image in (relabelled, dual(poset)):
+            assert (count_p_free(n, image), la(n, image)) == want
 
 
 class TestLa:

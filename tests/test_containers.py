@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -243,9 +244,6 @@ class TestBuildCollection:
         assert coll.max_certificate_size == 1
         assert coll.max_residual_size == 3
         assert coll.size_bound == 16
-        hit = coll.pair_for(SetFamily(2, (0,)))
-        assert hit is not None and hit.residual.members == (3,)
-        assert coll.pair_for(SetFamily(2, (3,))) is None
 
     def test_duplicate_inputs_collapse(self):
         fam = SetFamily(2, (1, 2))
@@ -272,6 +270,15 @@ class TestBuildCollection:
         seq = build_collection(poset, 0, 2, full_family(2), inputs, processes=1)
         par = build_collection(poset, 0, 2, full_family(2), inputs, processes=2)
         assert seq == par
+
+    def test_pool_is_bounded_by_inputs(self, serial_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        poset = fixture("chain2")
+        inputs = [SetFamily(2, (0,)), SetFamily(2, (1,)), SetFamily(2, (1, 2))]
+        seq = build_collection(poset, 0, 2, full_family(2), inputs)
+        par = build_collection(poset, 0, 2, full_family(2), inputs, processes=10_000)
+        assert par == seq
+        assert serial_pool == [3]
 
     def test_processes_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -51,10 +51,6 @@ class TestSetFamily:
         assert fam.size == 3
         assert 5 in fam and 2 not in fam
 
-    def test_from_sets_uses_one_based_elements(self):
-        fam = SetFamily.from_sets(4, [{1, 3}, set(), {4}])
-        assert fam.members == (0, 5, 8)
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             SetFamily(3, (8,))
@@ -62,8 +58,6 @@ class TestSetFamily:
             SetFamily(3, (-1,))
         with pytest.raises(ValueError):
             SetFamily(3, (1, 1))
-        with pytest.raises(ValueError):
-            SetFamily.from_sets(2, [{3}])
 
     def test_layer_family(self):
         assert layer_family(4, [2]).members == (3, 5, 6, 9, 10, 12)

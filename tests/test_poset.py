@@ -21,7 +21,6 @@ from posetfree.poset import (
     poset_from_dict,
     poset_to_dict,
     restrict,
-    transitive_reduction,
     validate_poset,
 )
 
@@ -229,12 +228,6 @@ class TestRestrict:
 
 
 class TestRoundTrip:
-    def test_transitive_reduction_helper(self):
-        covers = transitive_reduction(3, [(0, 1), (1, 2), (0, 2)])
-        assert covers == [(0, 1), (1, 2)]
-        with pytest.raises(CycleError):
-            transitive_reduction(2, [(0, 1), (1, 0)])
-
     def test_json_round_trip(self):
         for name in FIXTURES:
             p = fixture(name)
@@ -244,22 +237,11 @@ class TestRoundTrip:
     @settings(max_examples=60)
     def test_random_tree_round_trip(self, m, seed):
         p = random_tree_poset(m, seed)
+        order = {(a, b) for a in range(m) for b in range(m) if p.less(a, b)}
         # closure of covers equals the stored order
-        assert oracles.closure_pairs(p.m, p.covers) == set(p.order_pairs())
+        assert oracles.closure_pairs(p.m, p.covers) == order
         # reduction of the order equals the covers
-        assert oracles.reduction_pairs(p.m, p.order_pairs()) == set(p.covers)
+        assert oracles.reduction_pairs(p.m, order) == set(p.covers)
         # gradedness matches the enumeration route
         assert is_graded(p) == oracles.graded_by_enumeration(p.m, p.covers)
         assert is_tree_poset(p)
-
-    @given(
-        st.integers(min_value=2, max_value=5),
-        st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10),
-    )
-    @settings(max_examples=100)
-    def test_random_relations_round_trip(self, m, pairs):
-        rels = [(a, b) for a, b in pairs if a < b < m]
-        covers = transitive_reduction(m, rels)
-        p = validate_poset(m, covers)
-        assert oracles.closure_pairs(m, covers) == oracles.closure_pairs(m, rels)
-        assert set(p.covers) == oracles.reduction_pairs(m, rels)
